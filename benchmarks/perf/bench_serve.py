@@ -163,7 +163,8 @@ def run_serve_bench(n_requests: int = 240,
         results: Dict[str, object] = {
             "model": MODEL, "dataset": DATASET, "scale": "quick", "hw": HW,
             "max_batch": max_batch, "latency_budget_ms": latency_budget_ms,
-            "n_requests": n_requests, "seed": seed, "prune_frac": PRUNE_FRAC}
+            "n_requests": n_requests, "seed": seed, "prune_frac": PRUNE_FRAC,
+            "host_cpus": os.cpu_count()}
         per_variant: Dict[str, Dict] = {}
         for variant in ("dense", "pruned"):
             rng = np.random.default_rng(seed + 11)

@@ -9,10 +9,8 @@ from .flops import (TRAINING_FLOPS_FACTOR, conv_dims_gating, conv_dims_union,
 from .memory import (BYTES_PER_ELEMENT, MemoryModel,
                      activation_bytes_per_sample, bn_traffic_bytes,
                      iteration_memory_bytes, model_state_bytes)
-from .time import (DEVICES, GTX_1080TI, SPARSE_GEMM, TITAN_XP, V100,
-                   DeviceModel, SparseGemmCalibration, SparseGemmCostModel,
-                   TimeBreakdown, epoch_time, iteration_time,
-                   predicted_sparse_gain, sparse_crossover_curve)
+from .time import (DEVICES, GTX_1080TI, TITAN_XP, V100, DeviceModel,
+                   TimeBreakdown, epoch_time, iteration_time)
 
 __all__ = [
     "conv_flops", "inference_flops", "training_flops_per_sample",
@@ -25,6 +23,4 @@ __all__ = [
     "epoch_comm_bytes",
     "DeviceModel", "TimeBreakdown", "iteration_time", "epoch_time",
     "DEVICES", "GTX_1080TI", "TITAN_XP", "V100",
-    "SPARSE_GEMM", "SparseGemmCalibration", "SparseGemmCostModel",
-    "predicted_sparse_gain", "sparse_crossover_curve",
 ]

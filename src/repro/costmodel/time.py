@@ -118,150 +118,3 @@ def epoch_time(graph: ModelGraph, dataset_size: int, batch_per_worker: int,
     iters = (dataset_size + global_batch - 1) // global_batch
     return iters * iteration_time(graph, batch_per_worker, device, workers,
                                   comm).total
-
-
-# -- sparse-GEMM crossover model ---------------------------------------------
-#
-# The sparsity-aware conv paths (repro.tensor.sparse) skip dead channels in
-# the im2col/batched-GEMM lowering.  Whether skipping pays is a crossover
-# question: the sparse pipeline trades GEMM FLOPs for gather/scatter traffic
-# and per-step guard scans, so below some dead fraction (or above some
-# arithmetic intensity) dense wins.  The model below predicts that crossover
-# analytically and *calibrates* it per shape with a measured probe (dense and
-# sparse pipelines timed back to back on real capture data, plus a bitwise
-# parity check); the gate trusts the measurement, the prediction is recorded
-# alongside so predicted-vs-measured drift is visible in the bench JSON.
-
-#: effective flops-per-byte balance of the host BLAS: one gathered/scattered
-#: byte costs about this many GEMM flops' worth of time.  Deliberately a
-#: single scalar — the *measured* probe is authoritative, this only shapes
-#: the predicted curve.
-SPARSE_BALANCE_FLOPS_PER_BYTE = 8.0
-
-
-def sparse_gemm_cost(flops: float, moved_bytes: float) -> float:
-    """Abstract cost units of a GEMM pipeline: flops + traffic penalty."""
-    return flops + SPARSE_BALANCE_FLOPS_PER_BYTE * moved_bytes
-
-
-def predicted_sparse_gain(dense_flops: float, dense_bytes: float,
-                          sparse_flops: float, sparse_bytes: float) -> float:
-    """Predicted dense/sparse time ratio (> 1 means sparse is faster)."""
-    sparse = sparse_gemm_cost(sparse_flops, sparse_bytes)
-    if sparse <= 0.0:
-        return 1.0
-    return sparse_gemm_cost(dense_flops, dense_bytes) / sparse
-
-
-def sparse_crossover_curve(dense_flops: float, dense_bytes: float,
-                           fracs=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7,
-                                  0.8, 0.9)) -> list:
-    """Predicted gain vs dead fraction for one conv GEMM shape.
-
-    Models the sparse pipeline at dead fraction ``f`` as ``(1-f)^2`` of the
-    dense FLOPs (both GEMM dims compact) while still moving the live
-    ``(1-f)`` fraction of the dense bytes twice (gather in, scatter out).
-    The curve is what the bench publishes next to the measured points.
-    """
-    curve = []
-    for f in fracs:
-        live = 1.0 - f
-        gain = predicted_sparse_gain(dense_flops, dense_bytes,
-                                     dense_flops * live * live,
-                                     dense_bytes * live * 2.0)
-        curve.append({"dead_frac": round(f, 3), "predicted_gain":
-                      round(gain, 4)})
-    return curve
-
-
-@dataclass
-class SparseGemmCalibration:
-    """One measured dense-vs-sparse probe for a conv GEMM signature."""
-
-    sig: tuple
-    path: str            # "fwd" | "dw" | "dx"
-    dense_s: float       # best-of-N seconds, dense pipeline
-    sparse_s: float      # best-of-N seconds, sparse pipeline
-    parity: bool         # sparse output bit-identical to dense on probe data
-    predicted_gain: float
-
-    @property
-    def measured_gain(self) -> float:
-        return self.dense_s / self.sparse_s if self.sparse_s > 0 else 0.0
-
-
-class SparseGemmCostModel:
-    """Predicted-vs-measured gate for the sparse conv GEMM paths.
-
-    ``calibrate`` runs both pipelines on real data and caches the result per
-    ``(sig, path)``; the cache makes the gate deterministic across the memory
-    planner's sizer/assembler double build (both passes see the same probe).
-    ``repro.tensor.sparse.publish`` calls :meth:`invalidate` whenever the
-    dead sets change, so every reconfiguration interval re-probes — the
-    "re-checked per reconfiguration interval" contract.
-
-    Every decision is appended to :attr:`decisions` (bounded) so a run's
-    gate choices are reproducible and publishable in the bench JSON.
-    """
-
-    MAX_DECISIONS = 256
-
-    def __init__(self) -> None:
-        self._cal: Dict[tuple, SparseGemmCalibration] = {}
-        self.decisions: list = []
-
-    def calibrate(self, sig: tuple, path: str, dense_fn, sparse_fn,
-                  parity_fn, predicted_gain: float,
-                  reps: int = 5) -> SparseGemmCalibration:
-        """Measure both pipelines (interleaved best-of-N) + parity probe."""
-        key = (sig, path)
-        cal = self._cal.get(key)
-        if cal is not None:
-            return cal
-        import time as _time
-        parity = bool(parity_fn())
-        # one untimed warmup each: the first call pays page faults on the
-        # probe buffers, which would otherwise skew whichever side runs
-        # first
-        dense_fn()
-        sparse_fn()
-        dense_s = sparse_s = float("inf")
-        for _ in range(max(1, reps)):
-            t0 = _time.perf_counter()
-            dense_fn()
-            dense_s = min(dense_s, _time.perf_counter() - t0)
-            t0 = _time.perf_counter()
-            sparse_fn()
-            sparse_s = min(sparse_s, _time.perf_counter() - t0)
-        cal = SparseGemmCalibration(sig, path, dense_s, sparse_s, parity,
-                                    predicted_gain)
-        self._cal[key] = cal
-        return cal
-
-    def decide(self, cal: SparseGemmCalibration, min_gain: float) -> bool:
-        """Accept the sparse path iff the probe was bit-identical *and* the
-        measured gain clears ``min_gain``.  Records the decision."""
-        accept = cal.parity and cal.measured_gain >= min_gain
-        if len(self.decisions) < self.MAX_DECISIONS:
-            self.decisions.append({
-                "sig": list(cal.sig), "path": cal.path,
-                "dense_ms": round(cal.dense_s * 1e3, 4),
-                "sparse_ms": round(cal.sparse_s * 1e3, 4),
-                "measured_gain": round(cal.measured_gain, 4),
-                "predicted_gain": round(cal.predicted_gain, 4),
-                "parity": cal.parity, "min_gain": min_gain,
-                "accepted": accept,
-            })
-        return accept
-
-    def invalidate(self) -> None:
-        """Drop calibrations (new dead sets ⇒ new shapes ⇒ re-probe)."""
-        self._cal.clear()
-
-    def reset(self) -> None:
-        self._cal.clear()
-        self.decisions.clear()
-
-
-#: process-wide gate instance used by :mod:`repro.tensor.sparse`
-SPARSE_GEMM = SparseGemmCostModel()

@@ -132,11 +132,6 @@ class OpProfiler:
             out["_comm"] = allreduce.COMM_STATS.as_dict()
         except ImportError:  # pragma: no cover - circular-import guard
             pass
-        try:
-            from ..tensor import sparse
-            out["_sparse"] = sparse.STATS.as_dict()
-        except ImportError:  # pragma: no cover - circular-import guard
-            pass
         return out
 
     def total_seconds(self) -> float:

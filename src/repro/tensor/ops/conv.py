@@ -165,11 +165,6 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
         return _gemm_forward(cols, w, b, n, k, ho, wo), ("cols", cols)
 
     if config.conv_impl == "einsum":
-        if config.sparse_compute:
-            out = _sparse_forward(x, w, b, stride, padding, n, c, h, wd,
-                                  k, r, s, ho, wo)
-            if out is not None:
-                return out
         # Gather the windows once into a pooled (N, C, R, S, Ho, Wo) column
         # tensor: the trailing Wo axis is stride-1 in the source view, so
         # the copy runs in long contiguous spans, and the flattened
@@ -204,69 +199,6 @@ def _gemm_forward(cols: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
         y += b
     y = y.reshape(n, ho, wo, k).transpose(0, 3, 1, 2)  # (N, K, Ho, Wo)
     return np.ascontiguousarray(y)
-
-
-class _EagerSparse:
-    """Context payload of an eager sparse forward (``"sp6"``).
-
-    Carries the gate verdict, the input (the backward fallback re-stages it)
-    and ``extra`` — pooled buffers the non-fast-path backward fallback
-    acquires (padded staging + full column tensor), returned to the pool by
-    :func:`release_ctx`.
-    """
-
-    __slots__ = ("gate", "x", "extra")
-
-    def __init__(self, gate, x: np.ndarray) -> None:
-        self.gate = gate
-        self.x = x
-        self.extra: list = []
-
-
-def _sparse_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
-                    stride: int, padding: int, n: int, c: int, h: int,
-                    wd: int, k: int, r: int, s: int, ho: int, wo: int
-                    ) -> Optional[Tuple[np.ndarray, tuple]]:
-    """Eager dead-channel-skipping forward (general RxS convs).
-
-    Gathers only live input channels into the column tensor and contracts
-    against the live filter block; dead output channels are written as the
-    exact zeros the dense GEMM would produce.  Engages only when the cost
-    model gate accepted this signature (bit-parity probe + measured gain)
-    and the dead weight groups are still exactly zero this step.
-    """
-    from .. import sparse as _sp
-    gate = _sp.conv_gate_for(w, x, stride, padding)
-    if gate is None or not _sp.weights_dead(w, gate.ds):
-        return None
-    ds = gate.ds
-    cl, kl = ds.in_live.size, ds.out_live.size
-    p = padding
-    xp = ws.acquire((n, cl, h + 2 * p, wd + 2 * p), x.dtype, zero=(p > 0))
-    xp_core = xp[:, :, p:p + h, p:p + wd]
-    for d0, s0, ln in ds.in_live_runs:
-        xp_core[:, d0:d0 + ln] = x[:, s0:s0 + ln]
-    cols6 = ws.acquire((n, cl, r, s, ho, wo), x.dtype)
-    np.copyto(cols6, _windows(xp, r, s, stride).transpose(0, 1, 4, 5, 2, 3))
-    ws.release(xp)
-    wl = ws.acquire((kl, cl * r * s), x.dtype)
-    wl4 = wl.reshape(kl, cl, r, s)
-    for dk, sk, nk in ds.out_live_runs:
-        for dc, sc, nc in ds.in_live_runs:
-            wl4[dk:dk + nk, dc:dc + nc] = w[sk:sk + nk, sc:sc + nc]
-    yl = np.matmul(wl, cols6.reshape(n, cl * r * s, ho * wo))
-    ws.release(wl)
-    y = np.empty((n, k, ho, wo), x.dtype)
-    y3 = y.reshape(n, k, ho * wo)
-    for _, s0, ln in ds.out_dead_runs:
-        y3[:, s0:s0 + ln] = 0
-    for d0, s0, ln in ds.out_live_runs:
-        y3[:, s0:s0 + ln] = yl[:, d0:d0 + ln]
-    if b is not None:
-        y += b[None, :, None, None]
-    _sp.STATS.fwd_sparse_steps += 1
-    _sp.STATS.skipped_cols += (c - cl) * r * s
-    return y, ("sp6", (cols6, _EagerSparse(gate, x)))
 
 
 def conv2d_backward(dy: np.ndarray, ctx: tuple,
@@ -309,72 +241,6 @@ def conv2d_backward(dy: np.ndarray, ctx: tuple,
                 dxm = ws.acquire((n, c, ho * wo), dy.dtype)
                 np.matmul(w2t, dym, out=dxm)
                 dx = dxm.reshape(n, c, h, wd)
-        return dx, dw, db
-
-    if kind == "sp6":
-        # Sparse forward ran: the saved column tensor holds only live input
-        # channels.  The fast path compacts the dw GEMM on both dims; it is
-        # exact iff the gate's parity probe passed for the dw pipeline at
-        # this signature (``use_dw``) AND the dead weight groups are still
-        # zero, dy is zero on the dead output rows, and x is zero on the
-        # dead input channels — the latter three measured per step.  Any
-        # failure takes the non-fast-path fallback: rebuild the *dense*
-        # column tensor and run the dense dw GEMM (bit-identical to the
-        # dense engine by construction).
-        from .. import sparse as _sp
-        cols_l6, es = saved
-        ds = es.gate.ds
-        cl, kl = ds.in_live.size, ds.out_live.size
-        ho, wo = dy.shape[2], dy.shape[3]
-        dym_full = dy.reshape(n, k, ho * wo)
-        ok = (es.gate.use_dw
-              and _sp.weights_dead(w, ds)
-              and not _sp.runs_any_ch(dym_full, ds.out_dead_runs)
-              and not _sp.runs_any_ch(es.x, ds.in_dead_runs))
-        if ok:
-            dym = ws.acquire((n, kl, ho * wo), dy.dtype)
-            for d0, s0, ln in ds.out_live_runs:
-                dym[:, d0:d0 + ln] = dym_full[:, s0:s0 + ln]
-            dwn = ws.acquire((n, kl, cl * r * s), dy.dtype)
-            np.matmul(dym, cols_l6.reshape(n, cl * r * s, ho * wo)
-                      .transpose(0, 2, 1), out=dwn)
-            red = dwn.sum(axis=0).reshape(kl, cl, r, s)
-            ws.release(dwn)
-            ws.release(dym)
-            dw = np.zeros((k, c, r, s), dy.dtype)
-            for dk, sk, nk in ds.out_live_runs:
-                for dc, sc, nc in ds.in_live_runs:
-                    dw[sk:sk + nk, sc:sc + nc] = red[dk:dk + nk,
-                                                     dc:dc + nc]
-            _sp.STATS.dw_sparse_steps += 1
-        else:
-            if padding > 0:
-                xp_f = _pad_into_workspace(es.x, padding)
-            else:
-                xp_f = es.x
-            ho_, wo_ = conv_out_size(h, wd, r, s, stride, padding)
-            cols_f = ws.acquire((n, c, r, s, ho_, wo_), dy.dtype)
-            np.copyto(cols_f,
-                      _windows(xp_f, r, s, stride).transpose(0, 1, 4, 5,
-                                                             2, 3))
-            dwn = ws.acquire((n, k, c * r * s), dy.dtype)
-            np.matmul(dym_full, cols_f.reshape(n, c * r * s, ho * wo)
-                      .transpose(0, 2, 1), out=dwn)
-            dw = dwn.sum(axis=0).reshape(k, c, r, s)
-            ws.release(dwn)
-            # Stash the staging buffers on the context: release_ctx returns
-            # them to the pool along with the compact column tensor.
-            if padding > 0:
-                es.extra.append(xp_f)
-            es.extra.append(cols_f)
-            _sp.STATS.dw_dense_steps += 1
-        db = dy.sum(axis=(0, 2, 3)) if need_db else None
-        dx = None
-        if need_dx:
-            if stride == 1 and r > padding and s > padding:
-                dx = _tconv_dx(dy, w, x_shape, padding)
-            else:
-                dx = _dx_scatter(dy, w, x_shape, stride, padding)
         return dx, dw, db
 
     if kind == "cols6":
@@ -494,23 +360,10 @@ def _dx_scatter(dy: np.ndarray, w: np.ndarray,
 
 
 def release_ctx(ctx: Optional[tuple]) -> None:
-    """Return a forward context's staging buffers to the workspace pool.
+    """Return a forward context's staging buffer to the workspace pool.
 
     Safe to call unconditionally: contexts that hold plain input views or
-    unpooled column matrices are ignored by the pool.  Sparse (``"sp6"``)
-    contexts carry the compact column tensor *plus* any padded-staging and
-    dense column buffers their backward's non-fast-path fallback acquired —
-    all of them are returned here, so pool occupancy comes back to baseline
-    whether or not the fast path ran.
+    unpooled column matrices are ignored by the pool.
     """
-    if ctx is None:
-        return
-    kind, saved = ctx
-    if kind == "sp6":
-        cols_l6, es = saved
-        ws.release(cols_l6)
-        for buf in es.extra:
-            ws.release(buf)
-        es.extra.clear()
-        return
-    ws.release(saved)
+    if ctx is not None:
+        ws.release(ctx[1])

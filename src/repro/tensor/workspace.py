@@ -96,16 +96,6 @@ class EngineConfig:
     #: each worker process (the single-process ``compile_step`` machinery,
     #: one plan per worker)
     dist_compile: bool = True
-    #: sparsity-aware compute paths (:mod:`repro.tensor.sparse`): skip
-    #: published dead channels in the conv GEMM lowering and run
-    #: measured-row-sparse backward GEMMs, gated per shape by the
-    #: cost-model calibration (parity probe + measured gain).  Dense stays
-    #: the default and the bit-exact reference; sparse engages only for
-    #: shapes the gate accepts.
-    sparse_compute: bool = False
-    #: minimum measured dense/sparse step-time ratio the gate demands
-    #: before selecting a sparse path for a shape (1.05 = 5% faster)
-    sparse_min_gain: float = 1.05
 
 
 config = EngineConfig(
@@ -119,8 +109,6 @@ config = EngineConfig(
     comm_bucket_bytes=int(os.environ.get("REPRO_COMM_BUCKET_BYTES", "65536")),
     comm_zero_copy=_env_flag("REPRO_COMM_ZEROCOPY", True),
     dist_compile=_env_flag("REPRO_DIST_COMPILE", True),
-    sparse_compute=_env_flag("REPRO_SPARSE_COMPUTE", False),
-    sparse_min_gain=float(os.environ.get("REPRO_SPARSE_MIN_GAIN", "1.05")),
 )
 
 
@@ -128,17 +116,16 @@ config = EngineConfig(
 def baseline_engine():
     """Temporarily run with every optimization off (the seed engine path)."""
     saved = (config.pooling, config.fused_bnrelu, config.conv_impl,
-             config.mem_plan, config.parallel_replay, config.replay_workers,
-             config.sparse_compute)
+             config.mem_plan, config.parallel_replay, config.replay_workers)
     config.pooling, config.fused_bnrelu, config.conv_impl, \
-        config.mem_plan, config.parallel_replay, config.sparse_compute = \
-        False, False, "im2col", False, False, False
+        config.mem_plan, config.parallel_replay = \
+        False, False, "im2col", False, False
     try:
         yield
     finally:
         (config.pooling, config.fused_bnrelu, config.conv_impl,
          config.mem_plan, config.parallel_replay,
-         config.replay_workers, config.sparse_compute) = saved
+         config.replay_workers) = saved
 
 
 @dataclass

@@ -25,11 +25,9 @@ import numpy as np
 from ..costmodel.memory import activation_bytes_per_sample
 from ..distributed import DynamicBatchAdjuster
 from ..nn.module import Module
-from ..prune import (ChannelTracker, DeadSetExporter, GroupLasso,
-                     PruneReport, prune_and_reconfigure)
+from ..prune import (ChannelTracker, GroupLasso, PruneReport,
+                     prune_and_reconfigure)
 from ..prune.sparsity import DEFAULT_THRESHOLD
-from ..tensor import sparse as _tsparse
-from ..tensor import workspace as _tws
 from .trainer import Trainer, TrainerConfig
 
 
@@ -102,10 +100,6 @@ class PruneTrainTrainer(Trainer):
         self.tracker = ChannelTracker(model.graph, track_convs) \
             if track_convs else None
         self.reports: List[PruneReport] = []
-        #: stable dead-channel exporter for the sparse compute paths
-        #: (:mod:`repro.tensor.sparse`); scanned every epoch, published only
-        #: when ``workspace.config.sparse_compute`` is on.
-        self._dead_exporter = DeadSetExporter()
         #: threshold derived at λ-setup time when ``cfg.threshold`` is None.
         #: Kept on the trainer — not written back into the config — so a
         #: :class:`PruneTrainConfig` reused across runs (sweep presets)
@@ -165,25 +159,10 @@ class PruneTrainTrainer(Trainer):
             self.tracker.record()
         interval = self.cfg.reconfig_interval
         last_ok = self.cfg.epochs - self.cfg.last_reconfig_margin
-        if interval > 0 and (epoch + 1) % interval == 0 \
-                and (epoch + 1) < last_ok:
-            self._reconfigure(epoch)
-        self._publish_dead_sets()
-
-    def _publish_dead_sets(self) -> None:
-        """Scan for stable dead channels and publish them to the sparse
-        engine.  Runs at the end of *every* epoch — not only reconfig
-        epochs — so the exporter's hysteresis window fills between
-        reconfigurations and ``zero_sparse`` runs can engage the sparse
-        compute paths as soon as the zeroed channels prove stable.
-        Publishing an unchanged set is free (no plan invalidation), and the
-        whole hook is a no-op unless sparse compute is enabled.
-        """
-        if not _tws.config.sparse_compute:
+        if interval <= 0 or (epoch + 1) % interval != 0 \
+                or (epoch + 1) >= last_ok:
             return
-        scanned = self._dead_exporter.scan(self.model.graph, self.threshold)
-        _tsparse.publish([(node.conv.weight, si, so)
-                          for node, si, so in scanned])
+        self._reconfigure(epoch)
 
     def _reconfigure(self, epoch: int) -> None:
         def on_masks(masks):
@@ -249,8 +228,6 @@ class PruneTrainTrainer(Trainer):
         }
         if self.tracker is not None:
             state["tracker"] = {"orig_k": dict(self.tracker._orig_k)}
-        state["dead_hist"] = {name: len(hist) for name, hist
-                              in self._dead_exporter._hist.items()}
         return state
 
     def _extra_arrays(self):
@@ -260,10 +237,6 @@ class PruneTrainTrainer(Trainer):
                 arrays[f"tracker/history/{name}"] = self.tracker.matrix(name)
                 arrays[f"tracker/alive/{name}"] = \
                     self.tracker._alive_idx[name]
-        for name, hist in self._dead_exporter._hist.items():
-            for i, (ib, ob) in enumerate(hist):
-                arrays[f"dead_hist/{name}/{i}/in"] = ib
-                arrays[f"dead_hist/{name}/{i}/out"] = ob
         return arrays
 
     def _restore_extra(self, train_state, arrays):
@@ -277,19 +250,6 @@ class PruneTrainTrainer(Trainer):
                 self.tracker.history[name] = [row.copy() for row in hist]
                 self.tracker._alive_idx[name] = np.asarray(
                     arrays[f"tracker/alive/{name}"], dtype=np.int64)
-        self._dead_exporter.reset()
-        for name, n in train_state.get("dead_hist", {}).items():
-            self._dead_exporter._hist[name] = [
-                (np.asarray(arrays[f"dead_hist/{name}/{i}/in"], dtype=bool),
-                 np.asarray(arrays[f"dead_hist/{name}/{i}/out"], dtype=bool))
-                for i in range(n)]
-        if _tws.config.sparse_compute:
-            # Republish from the restored history (no fresh scan — that
-            # would double-count the checkpoint epoch) so the resumed run
-            # re-engages the sparse paths where the original run had them.
-            cur = self._dead_exporter.current(self.model.graph)
-            _tsparse.publish([(node.conv.weight, si, so)
-                              for node, si, so in cur])
 
     @staticmethod
     def _report_to_dict(report: PruneReport) -> dict:

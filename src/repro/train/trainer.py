@@ -130,16 +130,6 @@ class TrainerConfig:
     #: elastic only: let workers replay compiled step plans instead of
     #: eager steps (``None`` defers to ``REPRO_DIST_COMPILE``, default on)
     dist_compile: Optional[bool] = None
-    #: sparsity-aware compute paths (:mod:`repro.tensor.sparse`): skip
-    #: dead-channel GEMM columns and run compacted backward GEMMs where the
-    #: measured cost-model gate proves them both profitable *and*
-    #: bit-identical to dense.  ``None`` defers to ``REPRO_SPARSE_COMPUTE``
-    #: (default off); pinned onto the engine config for the duration of
-    #: :meth:`train` like ``mem_plan``.
-    sparse_compute: Optional[bool] = None
-    #: minimum measured speedup for the gate to accept a sparse pipeline
-    #: (``None`` defers to ``REPRO_SPARSE_MIN_GAIN``, default 1.05)
-    sparse_min_gain: Optional[float] = None
 
 
 class Trainer:
@@ -190,14 +180,6 @@ class Trainer:
         if rw is None:
             rw = int(os.environ.get("REPRO_REPLAY_WORKERS", "4"))
         self._replay_workers = int(rw)
-        sc = self.cfg.sparse_compute
-        if sc is None:
-            sc = _ws._env_flag("REPRO_SPARSE_COMPUTE", False)
-        self._sparse_compute = bool(sc)
-        sg = self.cfg.sparse_min_gain
-        if sg is None:
-            sg = float(os.environ.get("REPRO_SPARSE_MIN_GAIN", "1.05"))
-        self._sparse_min_gain = float(sg)
         #: arena metrics of the most recent full-batch training plan
         #: (``StepPlan.mem_metrics``); feeds the epoch record and, for
         #: PruneTrain's measured-capacity batch sizing, the memory model
@@ -340,13 +322,10 @@ class Trainer:
         if self.cfg.profile:
             PROFILER.enable(reset=True)
         saved_engine = (_ws.config.mem_plan, _ws.config.parallel_replay,
-                        _ws.config.replay_workers, _ws.config.sparse_compute,
-                        _ws.config.sparse_min_gain)
+                        _ws.config.replay_workers)
         _ws.config.mem_plan = self._mem_plan
         _ws.config.parallel_replay = self._parallel_replay
         _ws.config.replay_workers = self._replay_workers
-        _ws.config.sparse_compute = self._sparse_compute
-        _ws.config.sparse_min_gain = self._sparse_min_gain
         try:
             for epoch in range(start_epoch, self.cfg.epochs):
                 if self.cfg.profile:
@@ -394,8 +373,7 @@ class Trainer:
                           f"batch {rec.batch_size}")
         finally:
             (_ws.config.mem_plan, _ws.config.parallel_replay,
-             _ws.config.replay_workers, _ws.config.sparse_compute,
-             _ws.config.sparse_min_gain) = saved_engine
+             _ws.config.replay_workers) = saved_engine
             self.shutdown()
         if self.cfg.profile:
             PROFILER.disable()

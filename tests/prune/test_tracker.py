@@ -1,11 +1,10 @@
-"""Channel trajectory tracker (Fig. 4 machinery) and the dead-set exporter."""
+"""Channel trajectory tracker (Fig. 4 machinery)."""
 
 import numpy as np
 import pytest
 
 from repro.nn import resnet20
-from repro.prune import (ChannelTracker, DeadSetExporter, RevivalStats,
-                         prune_and_reconfigure)
+from repro.prune import ChannelTracker, RevivalStats, prune_and_reconfigure
 
 SMALL = dict(width_mult=0.25, input_hw=16)
 
@@ -109,61 +108,3 @@ class TestTracker:
         assert stats.intervals == 2
         assert stats.revivals_per_interval == pytest.approx(0.5)
 
-
-class TestDeadSetExporter:
-    def _kill(self, node, ch):
-        node.conv.weight.data[ch] = 0.0
-
-    def _masks_for(self, scanned, name):
-        for node, si, so in scanned:
-            if node.name == name:
-                return si, so
-        raise KeyError(name)
-
-    def test_hysteresis_delays_one_scan(self):
-        m = resnet20(10, **SMALL)
-        name = "s0b0.conv1"
-        node = m.graph.conv_by_name(name)
-        self._kill(node, 2)
-        ex = DeadSetExporter(hysteresis=2)
-        _, so1 = self._masks_for(ex.scan(m.graph, 1e-4), name)
-        assert not so1.any()            # first sighting: not yet stable
-        _, so2 = self._masks_for(ex.scan(m.graph, 1e-4), name)
-        assert so2[2] and so2.sum() == 1
-
-    def test_not_exactly_zero_is_never_exported(self):
-        m = resnet20(10, **SMALL)
-        name = "s0b0.conv1"
-        node = m.graph.conv_by_name(name)
-        node.conv.weight.data[2] *= 1e-9   # below threshold but nonzero
-        ex = DeadSetExporter(hysteresis=2)
-        ex.scan(m.graph, 1e-4)
-        _, so = self._masks_for(ex.scan(m.graph, 1e-4), name)
-        assert not so[2]
-
-    def test_history_resets_on_channel_count_change(self):
-        m = resnet20(10, **SMALL)
-        name = "s0b0.conv1"
-        node = m.graph.conv_by_name(name)
-        self._kill(node, 2)
-        ex = DeadSetExporter(hysteresis=2)
-        ex.scan(m.graph, 1e-4)
-        # simulate surgery: shrink the weight by one output channel
-        node.conv.weight.data = node.conv.weight.data[1:].copy()
-        scanned = ex.scan(m.graph, 1e-4)
-        _, so = self._masks_for(scanned, name)
-        assert so.size == node.conv.weight.data.shape[0]
-        assert not so.any()             # fresh history: nothing stable yet
-
-    def test_current_reports_without_rescanning(self):
-        m = resnet20(10, **SMALL)
-        name = "s0b0.conv1"
-        node = m.graph.conv_by_name(name)
-        self._kill(node, 1)
-        ex = DeadSetExporter(hysteresis=2)
-        ex.scan(m.graph, 1e-4)
-        ex.scan(m.graph, 1e-4)
-        hist_len = {n: len(h) for n, h in ex._hist.items()}
-        _, so = self._masks_for(ex.current(m.graph), name)
-        assert so[1]
-        assert {n: len(h) for n, h in ex._hist.items()} == hist_len

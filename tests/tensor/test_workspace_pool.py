@@ -195,3 +195,21 @@ class TestReconfigurationInvalidation:
             loss.backward()
             opt.step()
             assert workspace.POOL.lent_count == 0
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (1, 0)])
+    def test_conv_backward_returns_buffers_to_pool(self, stride, padding):
+        """Kernel level: a 3x3 conv forward + backward + ``release_ctx``
+        leaves pool occupancy exactly where it started."""
+        from repro.tensor.ops import conv as conv_ops
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 6, 10, 10)).astype(np.float32)
+        w = rng.normal(size=(8, 6, 3, 3)).astype(np.float32)
+        baseline = workspace.POOL.lent_count
+        y, ctx = conv_ops.conv2d_forward(x, w, None, stride, padding)
+        dy = rng.normal(size=y.shape).astype(np.float32)
+        dx, _, _ = conv_ops.conv2d_backward(dy, ctx, x.shape, w, stride,
+                                            padding, need_dx=True,
+                                            need_db=False)
+        workspace.release(dx)
+        conv_ops.release_ctx(ctx)
+        assert workspace.POOL.lent_count == baseline

@@ -85,16 +85,7 @@ class TestCompiledPruneTrainBitExact:
 
     def test_compiled_run_actually_replayed(self, runs):
         assert STATS.captures > 0
-        from repro.tensor import workspace
-        if workspace.config.sparse_compute:
-            # with sparse compute armed, every epoch-end dead-set publish
-            # that *changes* the stable sets retires the plans (the baked
-            # gate decisions are stale) — at this fixture's 6 batches per
-            # epoch captures legitimately rival replays, so only assert
-            # that replay happened at all
-            assert STATS.replays > 0
-        else:
-            assert STATS.replays > STATS.captures
+        assert STATS.replays > STATS.captures
         assert STATS.fallbacks == 0, STATS.last_fallback_reason
 
     def test_logs_params_velocity_identical(self, runs):

@@ -9,6 +9,7 @@ doubles as the killed run: training is deterministic per seed, so its
 epoch-k checkpoint is exactly what a run killed after epoch k left behind.
 """
 
+import json
 import os
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from repro.costmodel import MemoryModel, iteration_memory_bytes
 from repro.data import make_synthetic
 from repro.distributed import DynamicBatchAdjuster
-from repro.io import checkpoint_path, latest_checkpoint
+from repro.io import checkpoint_path, latest_checkpoint, load_checkpoint
 from repro.nn import resnet20
 from repro.train import (PruneTrainConfig, PruneTrainTrainer, Trainer,
                          TrainerConfig)
@@ -53,6 +54,30 @@ def assert_models_identical(m1, m2):
     for (n, p1), (_, p2) in zip(m1.named_parameters(),
                                 m2.named_parameters()):
         assert np.array_equal(p1.data, p2.data), f"{n} diverged"
+
+
+def with_dead_set_entries(ckpt, out, factory):
+    """Copy ``ckpt`` to ``out`` with the entries checkpoints carried while
+    the opt-in sparse compute paths existed: ``train_state["dead_hist"]``
+    plus ``dead_hist/<conv>/<i>/{in,out}`` masks (two scans per conv)."""
+    with np.load(ckpt) as z:
+        blobs = {k: z[k] for k in z.files}
+    meta = json.loads(bytes(blobs["meta.json"]).decode())
+    assert "dead_hist" not in meta["train_state"]
+    assert not any(k.startswith("dead_hist/") for k in blobs)
+    model, _, _ = load_checkpoint(ckpt, factory)
+    hist = {}
+    for node in model.graph.active_convs():
+        w = node.conv.weight.data
+        hist[node.name] = 2
+        for i in range(2):
+            blobs[f"dead_hist/{node.name}/{i}/in"] = ~w.any(axis=(0, 2, 3))
+            blobs[f"dead_hist/{node.name}/{i}/out"] = ~w.any(axis=(1, 2, 3))
+    meta["train_state"]["dead_hist"] = hist
+    blobs["meta.json"] = np.frombuffer(json.dumps(meta).encode(),
+                                       dtype=np.uint8)
+    np.savez(out, **blobs)
+    return out
 
 
 class TestDenseResume:
@@ -112,23 +137,29 @@ class TestPruneTrainResume:
         assert log_full.records[1].batch_size > 32
         assert full.lr_scale > 1.0
 
-        resumed = self._trainer(data, str(tmp_path / "resumed"))
-        log_res = resumed.train(resume_from=checkpoint_path(d_full, 2))
-
-        assert_logs_identical(log_full, log_res)
-        assert_models_identical(full.model, resumed.model)
-        # derived run state restored and evolved identically
-        assert resumed.lasso.lam == full.lasso.lam
-        assert resumed.threshold == full.threshold
-        assert resumed.lr_scale == full.lr_scale
-        assert len(resumed.reports) == len(full.reports)
-        for rf, rr in zip(full.reports, resumed.reports):
-            assert rf.space_sizes == rr.space_sizes
-            assert rf.removed_paths == rr.removed_paths
-        # tracker history (Fig. 4 state) identical, original indexing kept
-        np.testing.assert_array_equal(
-            full.tracker.matrix("s0b0.conv1"),
-            resumed.tracker.matrix("s0b0.conv1"))
+        # the epoch-2 checkpoint as written, and the same checkpoint with
+        # the dead-set entries older checkpoints carry (restore ignores them)
+        ckpt = checkpoint_path(d_full, 2)
+        legacy = with_dead_set_entries(
+            ckpt, str(tmp_path / "legacy.npz"),
+            lambda: resnet20(10, width_mult=0.375, input_hw=8, seed=0))
+        for i, path in enumerate((ckpt, legacy)):
+            resumed = self._trainer(data, str(tmp_path / f"resumed{i}"))
+            log_res = resumed.train(resume_from=path)
+            assert_logs_identical(log_full, log_res)
+            assert_models_identical(full.model, resumed.model)
+            # derived run state restored and evolved identically
+            assert resumed.lasso.lam == full.lasso.lam
+            assert resumed.threshold == full.threshold
+            assert resumed.lr_scale == full.lr_scale
+            assert len(resumed.reports) == len(full.reports)
+            for rf, rr in zip(full.reports, resumed.reports):
+                assert rf.space_sizes == rr.space_sizes
+                assert rf.removed_paths == rr.removed_paths
+            # tracker history (Fig. 4 state) identical, original indexing kept
+            np.testing.assert_array_equal(
+                full.tracker.matrix("s0b0.conv1"),
+                resumed.tracker.matrix("s0b0.conv1"))
 
     def test_resume_does_not_rerun_lambda_setup(self, data, tmp_path):
         """λ/threshold are derived once at step 1; a resumed run must carry
